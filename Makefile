@@ -113,11 +113,13 @@ profile:
 
 # fuzz is the native-fuzzing smoke CI runs: grouping-key round-trip,
 # injectivity and hash consistency (seeded with the \x1f collision
-# corpus), and the TCP framing codec against adversarial headers.
+# corpus), the TCP framing codec against adversarial headers, the
+# storage page codec, and the durable-log valid-prefix reader.
 fuzz:
 	$(GO) test -fuzz=FuzzAppendKey -fuzztime=10s -run '^$$' ./internal/relation
 	$(GO) test -fuzz=FuzzFrame -fuzztime=10s -run '^$$' ./internal/netwire
 	$(GO) test -fuzz=FuzzStorePage -fuzztime=10s -run '^$$' ./internal/storage
+	$(GO) test -fuzz=FuzzWAL -fuzztime=10s -run '^$$' ./internal/wal
 
 # api regenerates the committed API-surface lockfile; apicheck fails when
 # the public repro surface (go doc -all) drifts from it, so façade changes

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/wal"
 	"repro/internal/xerr"
 )
 
@@ -146,7 +147,7 @@ func TestCorruptCheckpoints(t *testing.T) {
 		{
 			name: "snapshot truncated to header only",
 			damage: func(t *testing.T, dir string) {
-				truncateTo(t, filepath.Join(dir, snapName), headerLen)
+				truncateTo(t, filepath.Join(dir, snapName), wal.HeaderLen)
 			},
 			wantCorrupt: true,
 		},
@@ -170,7 +171,7 @@ func TestCorruptCheckpoints(t *testing.T) {
 			damage: func(t *testing.T, dir string) {
 				// Damage a payload byte inside the first record, leaving
 				// length framing intact: the CRC must catch it.
-				flipByte(t, filepath.Join(dir, logName), headerLen+8+2)
+				flipByte(t, filepath.Join(dir, logName), wal.HeaderLen+8+2)
 			},
 			wantCorrupt: true,
 		},
@@ -205,7 +206,7 @@ func TestCorruptCheckpoints(t *testing.T) {
 			damage: func(t *testing.T, dir string) {
 				// Tear mid-frame-header: only 4 of the 8 framing bytes
 				// of the first record survive.
-				truncateTo(t, filepath.Join(dir, logName), headerLen+4)
+				truncateTo(t, filepath.Join(dir, logName), wal.HeaderLen+4)
 			},
 			wantCorrupt: false,
 			wantRecords: 0,
@@ -281,6 +282,24 @@ func TestRecoverSkipsCorruptNewestEpoch(t *testing.T) {
 	}
 	if st2.Epoch() != 3 {
 		t.Fatalf("next epoch = %d, want 3 (above the corrupt epoch 2)", st2.Epoch())
+	}
+}
+
+// TestRecoverRemovesStaleTemp: a crash mid-snapshot leaves a temp file
+// that Recover deletes instead of letting leftovers pile up.
+func TestRecoverRemovesStaleTemp(t *testing.T) {
+	dir := t.TempDir()
+	writeEpoch(t, dir, 1)
+	stale := filepath.Join(dir, "snap-0000000000000002.ckpt.tmp")
+	if err := os.WriteFile(stale, []byte("RCKP"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, recs, err := recoverDir(t, dir)
+	if err != nil || snap == nil || snap.Epoch != 1 || len(recs) != 1 {
+		t.Fatalf("Recover: snap=%+v recs=%v err=%v", snap, recs, err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temp file survived Recover: %v", err)
 	}
 }
 

@@ -15,17 +15,14 @@
 //
 // On-disk layout (one directory per driver):
 //
-//	journal-<epoch>.wal   header + CRC-framed gob records
+//	journal-<epoch>.wal   gob records
 //
-// The file starts with checkpoint's 6-byte header shape (magic "RJRN",
-// format version, file kind) and frames every record exactly like
-// internal/checkpoint: big-endian uint32 length, big-endian uint32
-// CRC-32 (IEEE), payload. The first record is a self-contained Base;
-// after it, Intent and Applied records strictly alternate — at most the
-// final Intent may dangle (the round the driver died inside).
-// Compaction (a fresh Base capturing the folded state) writes the next
-// epoch to a temp file, syncs, atomically renames, then removes the old
-// epoch.
+// The file is an internal/wal log (magic "RJRN"; the header, record
+// frame and torn-tail rule are wal's). The first record is a
+// self-contained Base; after it, Intent and Applied records strictly
+// alternate — at most the final Intent may dangle (the round the driver
+// died inside). Compaction (a fresh Base capturing the folded state)
+// writes the next epoch with wal.Replace, then removes the old epoch.
 //
 // Validation is deliberately stricter than checkpoint's: a torn
 // *trailing* record is the expected crash-mid-append shape and is
@@ -39,32 +36,24 @@
 package journal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/cfd"
-	"repro/internal/checkpoint"
 	"repro/internal/relation"
+	"repro/internal/wal"
 	"repro/internal/xerr"
 )
 
 // FormatVersion is the on-disk journal format version.
 const FormatVersion = 1
 
-const kindJournal byte = 1
-
-var magic = [4]byte{'R', 'J', 'R', 'N'}
-
-const headerLen = 6 // magic + version + kind
+var (
+	format = wal.Format{Magic: "RJRN", Version: FormatVersion, Kind: 1, Corrupt: xerr.ErrJournalCorrupt}
+	series = wal.Series{Prefix: "journal-", Suffix: ".wal"}
+)
 
 // OpKind distinguishes the journaled write operations.
 type OpKind uint8
@@ -196,25 +185,16 @@ type record struct {
 type Store struct {
 	dir   string
 	epoch uint64 // current epoch; 0 = no journal yet
-
-	f *os.File
-	w *bufio.Writer
+	log   *wal.Log
 }
 
 // Open prepares dir as a journal directory, creating it if needed, and
 // probes writability so a misconfigured deployment fails at Open, not
 // at the first batch.
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
+	if err := wal.ProbeDir(dir); err != nil {
+		return nil, wrap(err)
 	}
-	probe := filepath.Join(dir, ".probe")
-	f, err := os.Create(probe)
-	if err != nil {
-		return nil, fmt.Errorf("journal: dir %s not writable: %w", dir, err)
-	}
-	f.Close()
-	os.Remove(probe)
 	return &Store{dir: dir}, nil
 }
 
@@ -224,128 +204,77 @@ func (s *Store) Dir() string { return s.dir }
 // Epoch returns the current epoch (0 before the first Begin).
 func (s *Store) Epoch() uint64 { return s.epoch }
 
-func (s *Store) path(epoch uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("journal-%016x.wal", epoch))
-}
-
-// corrupt wraps a validation failure as an errors.Is-compatible
-// ErrJournalCorrupt.
-func corrupt(format string, args ...any) error {
-	return fmt.Errorf("journal: %w: %s", xerr.ErrJournalCorrupt, fmt.Sprintf(format, args...))
-}
+func (s *Store) path(epoch uint64) string { return series.Path(s.dir, epoch) }
 
 // Recover loads the newest epoch's state and reopens its file for
-// append. (nil, nil) means an empty directory — a fresh deployment.
-// Any validation failure beyond a torn trailing record returns an error
-// wrapping xerr.ErrJournalCorrupt; older epochs are never consulted
-// (resuming from one would restart the driver behind the cluster). The
-// store stays usable either way, positioned so the next epoch never
-// collides with anything on disk.
+// append, truncated past any torn trailing record. (nil, nil) means an
+// empty directory — a fresh deployment. Any other validation failure
+// returns an error wrapping xerr.ErrJournalCorrupt; older epochs are
+// never consulted (resuming from one would restart the driver behind
+// the cluster). The store stays usable either way, positioned so the
+// next epoch never collides with anything on disk.
 func (s *Store) Recover() (*State, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
+	epochs, err := series.Epochs(s.dir)
+	if err != nil || len(epochs) == 0 {
+		return nil, wrap(err)
 	}
-	var epochs []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "journal-") || !strings.HasSuffix(name, ".wal") {
-			continue
-		}
-		hexa := strings.TrimSuffix(strings.TrimPrefix(name, "journal-"), ".wal")
-		epoch, err := strconv.ParseUint(hexa, 16, 64)
-		if err != nil {
-			continue
-		}
-		epochs = append(epochs, epoch)
-	}
-	if len(epochs) == 0 {
-		return nil, nil
-	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] > epochs[j] })
 	s.epoch = epochs[0]
-
-	st, validLen, err := readEpochFile(s.path(s.epoch))
+	path := s.path(s.epoch)
+	st := &State{}
+	log, err := format.Open(path, func(_, _ int64, payload []byte) error {
+		var rec record
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+			return format.Corruptf(path, "decode record: %v", err)
+		}
+		return st.fold(rec, path)
+	})
+	if err == nil && st.Base == nil {
+		log.Close()
+		err = format.Corruptf(path, "no base record")
+	}
 	if err != nil {
-		return nil, err
+		return nil, wrap(err)
 	}
-	// Truncate the torn tail (if any) and reopen for append.
-	f, err := os.OpenFile(s.path(s.epoch), os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	s.closeFile()
-	s.f, s.w = f, bufio.NewWriter(f)
+	s.closeLog()
+	s.log = log
 	return st, nil
 }
 
 // Begin starts the journal's first epoch from base. Only valid on a
 // store with no epoch yet (a fresh or Reset directory).
 func (s *Store) Begin(base *Base) error {
-	if s.f != nil || s.epoch != 0 {
+	if s.log != nil || s.epoch != 0 {
 		return fmt.Errorf("journal: Begin on a non-empty journal (epoch %d)", s.epoch)
 	}
 	return s.startEpoch(base)
 }
 
 // Compact folds the journal into a fresh epoch whose Base is the
-// current driver state: temp file, sync, atomic rename, then the old
-// epoch is removed. Durable against a crash at any point — the old
-// epoch survives until the new one is fully on disk.
+// current driver state, then removes the old epoch. Durable against a
+// crash at any point — the old epoch survives until the new one is
+// fully on disk.
 func (s *Store) Compact(base *Base) error {
-	if s.f == nil {
+	if s.log == nil {
 		return fmt.Errorf("journal: Compact before Begin")
 	}
 	return s.startEpoch(base)
 }
 
-// startEpoch writes epoch+1 with the given base record via temp file +
-// sync + rename, switches appends to it, and removes the previous
-// epoch's file.
+// startEpoch writes epoch+1 with the given base record via
+// wal.Replace, switches appends to it, and removes the previous epoch's
+// file.
 func (s *Store) startEpoch(base *Base) error {
 	epoch := s.epoch + 1
 	payload, err := encodeRecord(record{Base: base})
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, "journal-*.tmp")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	w := bufio.NewWriter(tmp)
-	if err := writeHeader(w); err == nil {
-		err = writeFramed(w, payload)
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
+	log, err := format.Replace(s.path(epoch), func(l *wal.Log) error { return l.Append(payload) })
 	if err != nil {
 		return fmt.Errorf("journal: write base: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), s.path(epoch)); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	f, err := os.OpenFile(s.path(epoch), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	s.closeFile()
-	s.f, s.w = f, bufio.NewWriter(f)
+	s.closeLog()
+	s.log = log
 	prev := s.epoch
 	s.epoch = epoch
 	if prev > 0 {
@@ -363,17 +292,17 @@ func (s *Store) Intent(it *Intent) error { return s.append(record{Intent: it}) }
 func (s *Store) Applied(ap *Applied) error { return s.append(record{Applied: ap}) }
 
 func (s *Store) append(rec record) error {
-	if s.w == nil {
+	if s.log == nil {
 		return fmt.Errorf("journal: append before Begin")
 	}
 	payload, err := encodeRecord(rec)
 	if err != nil {
 		return err
 	}
-	if err := writeFramed(s.w, payload); err != nil {
-		return err
+	if err := s.log.Append(payload); err != nil {
+		return wrap(err)
 	}
-	if err := s.w.Flush(); err != nil {
+	if err := s.log.Flush(); err != nil {
 		return fmt.Errorf("journal: flush: %w", err)
 	}
 	return nil
@@ -382,40 +311,36 @@ func (s *Store) append(rec record) error {
 // Reset discards every journal file and returns the store to epoch 0 —
 // the start-empty-on-corrupt path.
 func (s *Store) Reset() error {
-	s.closeFile()
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "journal-") {
-			os.Remove(filepath.Join(s.dir, e.Name()))
-		}
-	}
+	s.closeLog()
 	s.epoch = 0
-	return nil
+	return wrap(wal.Reset(s.dir, series))
 }
 
 // Close flushes and closes the epoch file.
 func (s *Store) Close() error {
-	if s.w != nil {
-		if err := s.w.Flush(); err != nil {
-			s.closeFile()
-			return fmt.Errorf("journal: %w", err)
-		}
+	if s.log == nil {
+		return nil
 	}
-	s.closeFile()
+	err := s.log.Flush()
+	s.closeLog()
+	return wrap(err)
+}
+
+// closeLog drops the epoch file without flushing it: it is being
+// replaced or discarded.
+func (s *Store) closeLog() {
+	if s.log != nil {
+		s.log.Close()
+		s.log = nil
+	}
+}
+
+func wrap(err error) error {
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
 	return nil
 }
-
-func (s *Store) closeFile() {
-	if s.f != nil {
-		s.f.Close()
-		s.f, s.w = nil, nil
-	}
-}
-
-// --- framing (checkpoint's record conventions, journal's magic) ---
 
 func encodeRecord(rec record) ([]byte, error) {
 	var buf bytes.Buffer
@@ -423,83 +348,6 @@ func encodeRecord(rec record) ([]byte, error) {
 		return nil, fmt.Errorf("journal: encode record: %w", err)
 	}
 	return buf.Bytes(), nil
-}
-
-func writeHeader(w io.Writer) error {
-	hdr := [headerLen]byte{magic[0], magic[1], magic[2], magic[3], FormatVersion, kindJournal}
-	_, err := w.Write(hdr[:])
-	return err
-}
-
-// The journal shares the checkpoint layer's CRC-framed record
-// convention (checkpoint.WriteFramed/ReadFramed), so all durable files
-// in the repository stay bit-compatible by construction.
-
-func writeFramed(w io.Writer, payload []byte) error {
-	if err := checkpoint.WriteFramed(w, payload); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
-}
-
-// errTorn marks an incomplete trailing record — crash mid-append.
-var errTorn = checkpoint.ErrTornRecord
-
-func readFramed(r io.Reader, path string) ([]byte, error) {
-	payload, err := checkpoint.ReadFramed(r)
-	if errors.Is(err, checkpoint.ErrBadCRC) {
-		return nil, corrupt("%s: CRC mismatch", path)
-	}
-	return payload, err
-}
-
-// readEpochFile loads and validates one epoch file, returning the state
-// and the byte offset of the end of the valid prefix (a torn trailing
-// record is dropped; everything else must validate).
-func readEpochFile(path string) (*State, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, corrupt("%s: %v", path, err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, corrupt("%s: truncated header", path)
-	}
-	if hdr[0] != magic[0] || hdr[1] != magic[1] || hdr[2] != magic[2] || hdr[3] != magic[3] {
-		return nil, 0, corrupt("%s: bad magic %x", path, hdr[:4])
-	}
-	if hdr[4] != FormatVersion {
-		return nil, 0, corrupt("%s: format version %d, want %d", path, hdr[4], FormatVersion)
-	}
-	if hdr[5] != kindJournal {
-		return nil, 0, corrupt("%s: file kind %d, want %d", path, hdr[5], kindJournal)
-	}
-
-	st := &State{}
-	offset := int64(headerLen)
-	for {
-		payload, err := readFramed(r, path)
-		if err == io.EOF || errors.Is(err, errTorn) {
-			break // torn tail: the valid prefix is the journal
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		var rec record
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return nil, 0, corrupt("%s: decode record: %v", path, err)
-		}
-		if err := st.fold(rec, path); err != nil {
-			return nil, 0, err
-		}
-		offset += int64(8 + len(payload))
-	}
-	if st.Base == nil {
-		return nil, 0, corrupt("%s: no base record", path)
-	}
-	return st, offset, nil
 }
 
 // fold validates one record against the interleave invariant and
@@ -516,33 +364,33 @@ func (st *State) fold(rec record, path string) error {
 		set++
 	}
 	if set != 1 {
-		return corrupt("%s: record sets %d of base/intent/applied", path, set)
+		return format.Corruptf(path, "record sets %d of base/intent/applied", set)
 	}
 	switch {
 	case rec.Base != nil:
 		if st.Base != nil {
-			return corrupt("%s: second base record", path)
+			return format.Corruptf(path, "second base record")
 		}
 		st.Base = rec.Base
 		return nil
 	case st.Base == nil:
-		return corrupt("%s: record before base", path)
+		return format.Corruptf(path, "record before base")
 	case rec.Intent != nil:
 		if len(st.Intents) > len(st.Applied) {
-			return corrupt("%s: intent for round %d while round %d is still open",
-				path, rec.Intent.Round, st.Intents[len(st.Intents)-1].Round)
+			return format.Corruptf(path, "intent for round %d while round %d is still open",
+				rec.Intent.Round, st.Intents[len(st.Intents)-1].Round)
 		}
 		if want := st.Rounds() + 1; rec.Intent.Round != want {
-			return corrupt("%s: intent round %d, want %d", path, rec.Intent.Round, want)
+			return format.Corruptf(path, "intent round %d, want %d", rec.Intent.Round, want)
 		}
 		st.Intents = append(st.Intents, *rec.Intent)
 		return nil
 	default:
 		if len(st.Intents) == len(st.Applied) {
-			return corrupt("%s: applied round %d without an open intent", path, rec.Applied.Round)
+			return format.Corruptf(path, "applied round %d without an open intent", rec.Applied.Round)
 		}
 		if open := st.Intents[len(st.Intents)-1].Round; rec.Applied.Round != open {
-			return corrupt("%s: applied round %d closes intent round %d", path, rec.Applied.Round, open)
+			return format.Corruptf(path, "applied round %d closes intent round %d", rec.Applied.Round, open)
 		}
 		st.Applied = append(st.Applied, *rec.Applied)
 		return nil

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cfd"
 	"repro/internal/relation"
+	"repro/internal/wal"
 	"repro/internal/xerr"
 )
 
@@ -225,7 +226,7 @@ func TestCorruptJournals(t *testing.T) {
 				// Flip a byte inside the first record's payload (file
 				// header + frame header + 5): a mid-file CRC failure,
 				// not a torn tail.
-				data[headerLen+8+5] ^= 0xff
+				data[wal.HeaderLen+8+5] ^= 0xff
 				if err := os.WriteFile(path, data, 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -288,7 +289,7 @@ func TestCorruptJournals(t *testing.T) {
 					t.Fatal(err)
 				}
 				data = append([]byte(nil), data...)
-				data[headerLen+8+5] ^= 0xff
+				data[wal.HeaderLen+8+5] ^= 0xff
 				if err := os.WriteFile(path, data, 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -328,7 +329,7 @@ func TestInterleaveViolationsAreCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		if err := writeHeader(f); err != nil {
+		if err := format.WriteHeader(f); err != nil {
 			t.Fatal(err)
 		}
 		for _, rec := range recs {
@@ -336,7 +337,7 @@ func TestInterleaveViolationsAreCorrupt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := writeFramed(f, payload); err != nil {
+			if err := wal.WriteFrame(f, payload); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,40 +1,31 @@
 package storage
 
 import (
-	"bufio"
 	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
-	"repro/internal/checkpoint"
+	"repro/internal/wal"
 	"repro/internal/xerr"
 )
 
-// DiskStore file layout. One append-only data file per store:
+// DiskStore file layout. One append-only internal/wal log per store
+// (magic "RSTR", kind DiskOptions.Kind), each record:
 //
-//	magic "RSTR" (4) | version (1) | kind (1)        — header, 6 bytes
-//	CRC-framed records (checkpoint.WriteFramed), each:
-//	    page number  big-endian uint32 (4)
-//	    live count   big-endian uint32 (4)
-//	    page payload (see page.go; empty when count == 0 — a tombstone)
+//	page number  big-endian uint32 (4)
+//	live count   big-endian uint32 (4)
+//	page payload (see page.go; empty when count == 0 — a tombstone)
 //
 // The newest record for a page number wins; older records and applied
-// tombstones are dead weight reclaimed by compaction (temp + fsync +
-// rename, like checkpoint snapshots). A torn trailing record is the
-// expected crash-mid-append shape and is truncated on open; any other
-// damage fails open with xerr.ErrStoreCorrupt.
+// tombstones are dead weight reclaimed by compaction (wal.Replace). A
+// torn trailing record is truncated on open, as wal does for every log;
+// any other damage fails open with xerr.ErrStoreCorrupt.
 
 const (
-	diskMagic     = "RSTR"
-	diskVersion   = 1
-	diskHeaderLen = 6
-	recPrefixLen  = 8 // page number + live count
+	recPrefixLen = 8 // page number + live count
 	// pageOverhead approximates the fixed in-memory cost of one cached
 	// page beyond its records (struct, map header, list element).
 	pageOverhead = 128
@@ -78,15 +69,15 @@ type page struct {
 // with an LRU cache of decoded pages under a byte budget. Safe for
 // concurrent use.
 type DiskStore struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	opt  DiskOptions
+	mu     sync.Mutex
+	log    *wal.Log
+	format wal.Format
+	path   string
+	opt    DiskOptions
 
-	index    map[uint32]pageLoc
-	fileSize int64
-	dead     int64 // bytes of superseded records and applied tombstones
-	n        int   // live records across all pages
+	index map[uint32]pageLoc
+	dead  int64 // bytes of superseded records and applied tombstones
+	n     int   // live records across all pages
 
 	cache    map[uint32]*list.Element // value: *page
 	lru      *list.List               // front = most recently used
@@ -95,10 +86,6 @@ type DiskStore struct {
 
 	stats  Stats
 	encBuf []byte
-}
-
-func storeCorrupt(format string, a ...any) error {
-	return fmt.Errorf("storage: %s: %w", fmt.Sprintf(format, a...), xerr.ErrStoreCorrupt)
 }
 
 // OpenDisk opens (creating if absent) the data file at path. Reopening
@@ -111,103 +98,46 @@ func OpenDisk(path string, opt DiskOptions) (*DiskStore, error) {
 	if opt.Kind == 0 {
 		opt.Kind = 'S'
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
 	s := &DiskStore{
-		f:     f,
-		path:  path,
-		opt:   opt,
-		index: make(map[uint32]pageLoc),
-		cache: make(map[uint32]*list.Element),
-		lru:   list.New(),
+		format: wal.Format{Magic: "RSTR", Version: 1, Kind: opt.Kind, Corrupt: xerr.ErrStoreCorrupt},
+		path:   path,
+		opt:    opt,
+		index:  make(map[uint32]pageLoc),
+		cache:  make(map[uint32]*list.Element),
+		lru:    list.New(),
 	}
-	fi, err := f.Stat()
+	log, err := s.format.Open(path, s.indexRecord)
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	if fi.Size() == 0 {
-		hdr := []byte(diskMagic + string([]byte{diskVersion, opt.Kind}))
-		if _, err := f.Write(hdr); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("storage: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("storage: %w", err)
-		}
-		s.fileSize = diskHeaderLen
-		return s, nil
+	// A fresh header or a torn-tail truncation is made durable before
+	// any page is indexed behind it.
+	if err := log.Sync(); err != nil {
+		log.Close()
+		return nil, fmt.Errorf("storage: %w", err)
 	}
-	if err := s.scan(fi.Size()); err != nil {
-		f.Close()
-		return nil, err
-	}
+	s.log = log
 	return s, nil
 }
 
-// scan rebuilds the index from the data file, newest record per page
-// winning, and truncates a torn trailing record.
-func (s *DiskStore) scan(size int64) error {
-	if size < diskHeaderLen {
-		return storeCorrupt("%s: short header", s.path)
+// indexRecord folds one page record found by the open scan into the
+// index, the newest record per page winning.
+func (s *DiskStore) indexRecord(off, rec int64, payload []byte) error {
+	if len(payload) < recPrefixLen {
+		return s.format.Corruptf(s.path, "@%d: record shorter than its prefix", off)
 	}
-	var hdr [diskHeaderLen]byte
-	if _, err := s.f.ReadAt(hdr[:], 0); err != nil {
-		return fmt.Errorf("storage: %w", err)
+	no := binary.BigEndian.Uint32(payload[0:4])
+	count := int(binary.BigEndian.Uint32(payload[4:8]))
+	if old, ok := s.index[no]; ok {
+		s.dead += old.rec
+		s.n -= old.count
 	}
-	if string(hdr[:4]) != diskMagic {
-		return storeCorrupt("%s: bad magic", s.path)
-	}
-	if hdr[4] != diskVersion {
-		return storeCorrupt("%s: format version %d (want %d)", s.path, hdr[4], diskVersion)
-	}
-	if _, err := s.f.Seek(diskHeaderLen, io.SeekStart); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	br := bufio.NewReader(s.f)
-	off := int64(diskHeaderLen)
-	for {
-		payload, err := checkpoint.ReadFramed(br)
-		if err == io.EOF {
-			break
-		}
-		if errors.Is(err, checkpoint.ErrTornRecord) {
-			// Crash mid-append: drop the torn tail, keep everything
-			// before it.
-			if err := s.f.Truncate(off); err != nil {
-				return fmt.Errorf("storage: %w", err)
-			}
-			size = off
-			break
-		}
-		if err != nil {
-			return storeCorrupt("%s @%d: %v", s.path, off, err)
-		}
-		if len(payload) < recPrefixLen {
-			return storeCorrupt("%s @%d: record shorter than its prefix", s.path, off)
-		}
-		no := binary.BigEndian.Uint32(payload[0:4])
-		count := int(binary.BigEndian.Uint32(payload[4:8]))
-		rec := int64(checkpoint.FrameOverhead + len(payload))
-		if old, ok := s.index[no]; ok {
-			s.dead += old.rec
-			s.n -= old.count
-		}
-		if count == 0 {
-			delete(s.index, no)
-			s.dead += rec // an applied tombstone is itself dead weight
-		} else {
-			s.index[no] = pageLoc{off: off, rec: rec, count: count}
-			s.n += count
-		}
-		off += rec
-	}
-	s.fileSize = size
-	if _, err := s.f.Seek(size, io.SeekStart); err != nil {
-		return fmt.Errorf("storage: %w", err)
+	if count == 0 {
+		delete(s.index, no)
+		s.dead += rec // an applied tombstone is itself dead weight
+	} else {
+		s.index[no] = pageLoc{off: off, rec: rec, count: count}
+		s.n += count
 	}
 	return nil
 }
@@ -224,17 +154,16 @@ func (s *DiskStore) fault(no uint32, create bool) (*page, error) {
 	s.stats.Misses++
 	pg := &page{no: no, m: make(map[string][]byte)}
 	if loc, ok := s.index[no]; ok {
-		sect := io.NewSectionReader(s.f, loc.off, loc.rec)
-		payload, err := checkpoint.ReadFramed(sect)
+		payload, err := s.log.Read(loc.off, loc.rec)
 		if err != nil {
-			return nil, storeCorrupt("%s page %d @%d: %v", s.path, no, loc.off, err)
+			return nil, fmt.Errorf("storage: page %d: %w", no, err)
 		}
 		if len(payload) < recPrefixLen || binary.BigEndian.Uint32(payload[0:4]) != no {
-			return nil, storeCorrupt("%s page %d @%d: record/index mismatch", s.path, no, loc.off)
+			return nil, fmt.Errorf("storage: %w", s.format.Corruptf(s.path, "page %d @%d: record/index mismatch", no, loc.off))
 		}
 		m, size, err := decodePage(payload[recPrefixLen:])
 		if err != nil {
-			return nil, storeCorrupt("%s page %d @%d: %v", s.path, no, loc.off, err)
+			return nil, fmt.Errorf("storage: %w", s.format.Corruptf(s.path, "page %d @%d: %v", no, loc.off, err))
 		}
 		pg.m, pg.size = m, size
 		s.stats.Faults++
@@ -430,8 +359,6 @@ func (s *DiskStore) flushLocked() error {
 		}
 	}
 	sort.Slice(dirtyPages, func(i, j int) bool { return dirtyPages[i].no < dirtyPages[j].no })
-	bw := bufio.NewWriter(s.f)
-	off := s.fileSize
 	for _, pg := range dirtyPages {
 		old, onDisk := s.index[pg.no]
 		if len(pg.m) == 0 && !onDisk {
@@ -444,10 +371,11 @@ func (s *DiskStore) flushLocked() error {
 		s.encBuf = binary.BigEndian.AppendUint32(s.encBuf, pg.no)
 		s.encBuf = binary.BigEndian.AppendUint32(s.encBuf, uint32(len(pg.m)))
 		s.encBuf = encodePage(s.encBuf, pg.m)
-		if err := checkpoint.WriteFramed(bw, s.encBuf); err != nil {
+		off := s.log.Size()
+		if err := s.log.Append(s.encBuf); err != nil {
 			return fmt.Errorf("storage: %w", err)
 		}
-		rec := int64(checkpoint.FrameOverhead + len(s.encBuf))
+		rec := s.log.Size() - off
 		if onDisk {
 			s.dead += old.rec
 		}
@@ -457,7 +385,6 @@ func (s *DiskStore) flushLocked() error {
 		} else {
 			s.index[pg.no] = pageLoc{off: off, rec: rec, count: len(pg.m)}
 		}
-		off += rec
 		s.stats.FlushedPages++
 		s.stats.FlushedBytes += uint64(rec)
 		pg.dirty = false
@@ -466,13 +393,9 @@ func (s *DiskStore) flushLocked() error {
 			s.dropPage(pg)
 		}
 	}
-	if err := bw.Flush(); err != nil {
+	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	s.fileSize = off
 	s.evict()
 	return s.maybeCompact()
 }
@@ -495,82 +418,43 @@ func (s *DiskStore) dropPage(pg *page) {
 // fixed floor and the live bytes — the classic "over half the file is
 // garbage" rule. Caller holds s.mu with no dirty pages outstanding.
 func (s *DiskStore) maybeCompact() error {
-	live := s.fileSize - diskHeaderLen - s.dead
+	live := s.log.Size() - wal.HeaderLen - s.dead
 	if s.dead < compactMinDead || s.dead <= live {
 		return nil
 	}
 	return s.compactLocked()
 }
 
-// compactLocked streams the newest record of every live page to a temp
-// file, fsyncs, and atomically renames it over the data file — the same
-// discipline as checkpoint snapshots, so a crash at any point leaves
-// either the old file or the new one, never a mix.
+// compactLocked rewrites the newest record of every live page into a
+// fresh file with wal.Replace, so a crash at any point leaves either
+// the old file or the new one, never a mix.
 func (s *DiskStore) compactLocked() error {
-	tmp := s.path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	defer os.Remove(tmp) // no-op after a successful rename
-	bw := bufio.NewWriter(tf)
-	if _, err := bw.Write([]byte(diskMagic + string([]byte{diskVersion, s.opt.Kind}))); err != nil {
-		tf.Close()
-		return fmt.Errorf("storage: compact: %w", err)
-	}
 	nos := make([]uint32, 0, len(s.index))
 	for no := range s.index {
 		nos = append(nos, no)
 	}
 	sort.Slice(nos, func(i, j int) bool { return nos[i] < nos[j] })
 	newIndex := make(map[uint32]pageLoc, len(nos))
-	off := int64(diskHeaderLen)
-	for _, no := range nos {
-		loc := s.index[no]
-		sect := io.NewSectionReader(s.f, loc.off, loc.rec)
-		payload, err := checkpoint.ReadFramed(sect)
-		if err != nil {
-			tf.Close()
-			return storeCorrupt("%s page %d @%d: %v", s.path, no, loc.off, err)
+	log, err := s.format.Replace(s.path, func(nl *wal.Log) error {
+		for _, no := range nos {
+			loc := s.index[no]
+			payload, err := s.log.Read(loc.off, loc.rec)
+			if err != nil {
+				return fmt.Errorf("page %d: %w", no, err)
+			}
+			newIndex[no] = pageLoc{off: nl.Size(), rec: loc.rec, count: loc.count}
+			if err := nl.Append(payload); err != nil {
+				return err
+			}
 		}
-		if err := checkpoint.WriteFramed(bw, payload); err != nil {
-			tf.Close()
-			return fmt.Errorf("storage: compact: %w", err)
-		}
-		newIndex[no] = pageLoc{off: off, rec: loc.rec, count: loc.count}
-		off += loc.rec
-	}
-	if err := bw.Flush(); err != nil {
-		tf.Close()
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	if d, err := os.Open(filepath.Dir(s.path)); err == nil {
-		d.Sync() // best-effort directory durability, like checkpoint
-		d.Close()
-	}
-	old := s.f
-	nf, err := os.OpenFile(s.path, os.O_RDWR, 0o644)
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("storage: compact reopen: %w", err)
+		return fmt.Errorf("storage: compact: %w", err)
 	}
-	if _, err := nf.Seek(off, io.SeekStart); err != nil {
-		nf.Close()
-		return fmt.Errorf("storage: compact reopen: %w", err)
-	}
-	old.Close()
-	s.f = nf
+	s.log.Close()
+	s.log = log
 	s.index = newIndex
-	s.fileSize = off
 	s.dead = 0
 	s.stats.Compactions++
 	return nil
@@ -583,21 +467,23 @@ func (s *DiskStore) Stats() Stats {
 	st.ResidentPages = len(s.cache)
 	st.ResidentBytes = s.resident
 	st.DirtyPages = s.dirty
-	st.DiskBytes = s.fileSize
+	if s.log != nil {
+		st.DiskBytes = s.log.Size()
+	}
 	return st
 }
 
 func (s *DiskStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
+	if s.log == nil {
 		return nil
 	}
 	err := s.flushLocked()
-	if cerr := s.f.Close(); err == nil {
+	if cerr := s.log.Close(); err == nil {
 		err = cerr
 	}
-	s.f = nil
+	s.log = nil
 	return err
 }
 

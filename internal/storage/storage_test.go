@@ -10,7 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/checkpoint"
+	"repro/internal/wal"
 	"repro/internal/xerr"
 )
 
@@ -255,20 +255,21 @@ func TestDiskMidFileCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw, _ := os.ReadFile(path)
-	raw[diskHeaderLen+checkpoint.FrameOverhead+2] ^= 0xff // first record's payload
+	raw[wal.HeaderLen+wal.FrameOverhead+2] ^= 0xff // first record's payload
 	os.WriteFile(path, raw, 0o644)
 	if _, err := OpenDisk(path, opt); !errors.Is(err, xerr.ErrStoreCorrupt) {
 		t.Fatalf("open on mid-file damage: %v, want ErrStoreCorrupt", err)
 	}
 }
 
-// TestDiskBadHeader rejects wrong magic and wrong version.
+// TestDiskBadHeader rejects wrong magic, version and kind.
 func TestDiskBadHeader(t *testing.T) {
 	opt := DiskOptions{PageFor: Uint64Pager(2)}
 	for name, hdr := range map[string][]byte{
 		"magic":   []byte("XSTR\x01S"),
 		"version": []byte("RSTR\x63S"),
 		"short":   []byte("RS"),
+		"kind":    []byte("RSTR\x01T"),
 	} {
 		path := filepath.Join(t.TempDir(), name+".dat")
 		os.WriteFile(path, hdr, 0o644)
