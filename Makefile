@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: test race bench stream storage storage-bench coalesce net recovery query chaos driver-chaos bench-verify profile fuzz api apicheck verify clean
+.PHONY: test race bench bench-smoke stream storage storage-bench coalesce net recovery query chaos driver-chaos bench-verify profile fuzz api apicheck verify clean
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -19,6 +19,12 @@ bench:
 		-benchmem -run '^$$' -benchtime 1x .
 	$(GO) run ./cmd/expbench -json
 	@$(MAKE) --no-print-directory clean
+
+# bench-smoke runs the repo benchmark's own smoke test. perfbench is a
+# separate module (it builds the program from this checkout), so the
+# root `go test ./...` never reaches it.
+bench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # stream regenerates the streaming-pipeline baseline (BENCH_stream.json).
 stream:
@@ -114,12 +120,14 @@ profile:
 # fuzz is the native-fuzzing smoke CI runs: grouping-key round-trip,
 # injectivity and hash consistency (seeded with the \x1f collision
 # corpus), the TCP framing codec against adversarial headers, the
-# storage page codec, and the durable-log valid-prefix reader.
+# storage page codec, the durable-log valid-prefix reader, and the
+# stored group-record scanner and splice.
 fuzz:
 	$(GO) test -fuzz=FuzzAppendKey -fuzztime=10s -run '^$$' ./internal/relation
 	$(GO) test -fuzz=FuzzFrame -fuzztime=10s -run '^$$' ./internal/netwire
 	$(GO) test -fuzz=FuzzStorePage -fuzztime=10s -run '^$$' ./internal/storage
 	$(GO) test -fuzz=FuzzWAL -fuzztime=10s -run '^$$' ./internal/wal
+	$(GO) test -fuzz=FuzzGroupRecord -fuzztime=10s -run '^$$' ./internal/centralized
 
 # api regenerates the committed API-surface lockfile; apicheck fails when
 # the public repro surface (go doc -all) drifts from it, so façade changes

@@ -16,9 +16,9 @@ import (
 // measured row — the sweep fails before emitting anything otherwise, so
 // the committed file is proof the storage subsystem pages state without
 // changing semantics. The state columns (|D|, ∆V, |V|, marks) are
-// deterministic in the seed; cache counters and timings are
-// informational (eviction order is not reproducible) and skipped by
-// -verify.
+// deterministic in the seed; cache counters (deterministic too, but a
+// property of the cache, not of the semantics) and timings are
+// informational and skipped by -verify.
 
 // storageRow is one measured step of the baseline.
 type storageRow struct {
@@ -58,6 +58,9 @@ type storageBaseline struct {
 	ResidentBytes int64                      `json:"resident_bytes"`
 	IngestSeconds float64                    `json:"ingest_seconds"`
 	SweepSeconds  float64                    `json:"sweep_seconds"`
+	// The in-memory twin's wall-clock over the same batches.
+	MemoryIngestSeconds float64 `json:"memory_ingest_seconds"`
+	MemorySweepSeconds  float64 `json:"memory_sweep_seconds"`
 }
 
 func storageRows(rows []harness.StorageRow) []storageRow {
@@ -87,6 +90,9 @@ func writeStorageBaseline(path string, sc harness.Scale, run *harness.StorageRun
 		ResidentBytes: run.ResidentBytes,
 		IngestSeconds: run.IngestSeconds,
 		SweepSeconds:  run.SweepSeconds,
+
+		MemoryIngestSeconds: run.MemoryIngestSeconds,
+		MemorySweepSeconds:  run.MemorySweepSeconds,
 	}
 	for name, st := range run.Stats {
 		base.Stats[name] = storageStatsRow{

@@ -145,7 +145,7 @@ func verifyBaselines(sc harness.Scale) error {
 	// BENCH_storage.json: the state rows are deterministic; the sweep
 	// itself asserts disk/memory V bit-identity at every row before
 	// emitting it (cache counters and timings are informational and not
-	// compared — eviction order is not reproducible).
+	// compared).
 	var stoBase storageBaseline
 	if err := readJSON("BENCH_storage.json", &stoBase); err != nil {
 		return err

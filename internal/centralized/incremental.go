@@ -104,9 +104,13 @@ func (inc *Incremental) applyUnit(u relation.Update) (*cfd.Delta, error) {
 			return nil, err
 		}
 	case relation.Delete:
-		if _, ok := inc.rel.Get(u.Tuple.ID); !ok {
+		// A delete names its tuple by id; the case analysis runs on the
+		// maintained values, never on whatever the update carries.
+		t, ok := inc.rel.Get(u.Tuple.ID)
+		if !ok {
 			return nil, fmt.Errorf("centralized: delete of missing tuple %d", u.Tuple.ID)
 		}
+		u.Tuple = t
 	}
 
 	for i := range inc.comp {

@@ -3,21 +3,23 @@ package centralized
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/cfd"
 	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/xerr"
 )
 
 // Stored grouping indexes: the out-of-core backend for the per-rule
 // equivalence groups the Fig. 4 case analysis reads and writes. One
 // store record per (rule, X-key) holds the whole group — B-value
 // classes and their member sets — so a unit update touches exactly the
-// records of the rules its tuple matches: load, run the same case
-// analysis as the in-memory path, store back. The page cache turns a
-// round's locality into one fault per warm page; Flush at round
-// boundaries writes the dirty pages back.
+// records of the rules its tuple matches: scan the record's class
+// boundaries, run the same case analysis as the in-memory path on the
+// class sizes, and splice the one id in or out of the encoded bytes —
+// no decode, no sort, and the same bytes a full re-encode would write.
+// The page cache turns a round's locality into one fault per warm page;
+// Flush at round boundaries writes the dirty pages back.
 //
 // Keys are a stable big-endian uint32 rule tag followed by the raw
 // length-prefixed X-key. Tags are assigned once when a rule enters
@@ -62,6 +64,7 @@ type storedGroups struct {
 	nextTag uint32
 	keyBuf  []byte
 	encBuf  []byte
+	classes []groupClass // scanGroup scratch
 }
 
 // addRule assigns the next stable tag (variable rules) or 0 (ConstRHS).
@@ -74,92 +77,142 @@ func (g *storedGroups) addRule(constRHS bool) {
 	g.tags = append(g.tags, g.nextTag)
 }
 
-// group record codec: uvarint #classes; per class (sorted by B-value):
+// Group record format: uvarint #classes; per class (sorted by B-value):
 // uvarint len(b), b, uvarint #members, members as ascending uvarint ids.
+// The format is canonical, so an insert or delete edits the encoded
+// bytes directly: scanGroup indexes the class boundaries in one pass,
+// and the splice copies the unchanged byte ranges around the one class
+// header and the one id it rewrites.
 
-func encodeGroup(dst []byte, group map[string]map[relation.TupleID]struct{}) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(group)))
-	bs := make([]string, 0, len(group))
-	for b := range group {
-		bs = append(bs, b)
-	}
-	sort.Strings(bs)
-	var ids []relation.TupleID
-	for _, b := range bs {
-		dst = binary.AppendUvarint(dst, uint64(len(b)))
-		dst = append(dst, b...)
-		cls := group[b]
-		dst = binary.AppendUvarint(dst, uint64(len(cls)))
-		ids = ids[:0]
-		for id := range cls {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			dst = binary.AppendUvarint(dst, uint64(id))
-		}
-	}
-	return dst
+// groupClass locates one B-value class inside an encoded group record.
+type groupClass struct {
+	start int // offset of the class's B-value length
+	b0    int // offset of the B-value bytes
+	cnt   int // offset of the member count (one past the B-value)
+	ids   int // offset of the first member id
+	end   int // offset one past the last member id
+	n     int // member count
 }
 
-func decodeGroup(raw []byte) (map[string]map[relation.TupleID]struct{}, error) {
+// bValue returns the class's B-value bytes.
+func (c *groupClass) bValue(raw []byte) []byte { return raw[c.b0:c.cnt] }
+
+// nextID decodes the member id at raw[p:]; p must lie inside a class
+// that scanGroup validated.
+func nextID(raw []byte, p int) (relation.TupleID, int) {
+	u, w := binary.Uvarint(raw[p:])
+	return relation.TupleID(u), p + w
+}
+
+// errGroup reports a malformed group record as store corruption.
+func errGroup(format string, args ...any) error {
+	return fmt.Errorf("centralized: "+format+": %w", append(args, xerr.ErrStoreCorrupt)...)
+}
+
+// scanGroup validates an encoded group record and indexes its classes
+// into cls (reused); hdr is the length of the class-count header.
+func scanGroup(cls []groupClass, raw []byte) (_ []groupClass, hdr int, err error) {
 	nClasses, w := binary.Uvarint(raw)
 	if w <= 0 {
-		return nil, fmt.Errorf("centralized: bad group class count")
+		return cls, 0, errGroup("bad group class count")
 	}
-	raw = raw[w:]
-	group := make(map[string]map[relation.TupleID]struct{}, nClasses)
+	hdr, p := w, w
 	for c := uint64(0); c < nClasses; c++ {
-		blen, w := binary.Uvarint(raw)
-		if w <= 0 || blen > uint64(len(raw)-w) {
-			return nil, fmt.Errorf("centralized: bad group B-value frame")
+		start := p
+		blen, w := binary.Uvarint(raw[p:])
+		if w <= 0 || blen > uint64(len(raw)-p-w) {
+			return cls, 0, errGroup("bad group B-value frame")
 		}
-		b := string(raw[w : w+int(blen)])
-		raw = raw[w+int(blen):]
-		n, w := binary.Uvarint(raw)
+		b0 := p + w
+		p = b0 + int(blen)
+		n, w := binary.Uvarint(raw[p:])
 		if w <= 0 {
-			return nil, fmt.Errorf("centralized: bad group member count")
+			return cls, 0, errGroup("bad group member count")
 		}
-		raw = raw[w:]
-		cls := make(map[relation.TupleID]struct{}, n)
+		cnt := p
+		p += w
+		ids := p
 		for i := uint64(0); i < n; i++ {
-			id, w := binary.Uvarint(raw)
+			_, w := binary.Uvarint(raw[p:])
 			if w <= 0 {
-				return nil, fmt.Errorf("centralized: bad group member id")
+				return cls, 0, errGroup("bad group member id")
 			}
-			raw = raw[w:]
-			cls[relation.TupleID(id)] = struct{}{}
+			p += w
 		}
-		group[b] = cls
+		cls = append(cls, groupClass{start: start, b0: b0, cnt: cnt, ids: ids, end: p, n: int(n)})
 	}
-	if len(raw) != 0 {
-		return nil, fmt.Errorf("centralized: %d trailing bytes in group record", len(raw))
+	if p != len(raw) {
+		return cls, 0, errGroup("%d trailing bytes in group record", len(raw)-p)
 	}
-	return group, nil
+	return cls, hdr, nil
 }
 
-// load fetches and decodes the group of (rule i, xkey); nil when the
-// group does not exist. The key stays in g.keyBuf for the store-back.
-func (g *storedGroups) load(i int, xkey []byte) (map[string]map[relation.TupleID]struct{}, error) {
-	g.keyBuf = GroupKey(g.keyBuf[:0], g.tags[i], xkey)
-	raw, ok, err := g.st.Get(g.keyBuf)
-	if err != nil {
-		return nil, err
+// findClass returns the index of the class holding b, or, when no
+// class does (found=false), the index a new class for b takes.
+func findClass(cls []groupClass, raw []byte, b string) (k int, found bool) {
+	for k < len(cls) && string(cls[k].bValue(raw)) < b {
+		k++
 	}
-	if !ok {
-		return nil, nil
-	}
-	return decodeGroup(raw)
+	return k, k < len(cls) && string(cls[k].bValue(raw)) == b
 }
 
-// store writes back the group last loaded (g.keyBuf), deleting the
-// record when the group emptied.
-func (g *storedGroups) store(group map[string]map[relation.TupleID]struct{}) error {
-	if len(group) == 0 {
-		return g.st.Delete(g.keyBuf)
+// findID returns the offset of id within class c, or, when c does not
+// hold it (found=false), the offset id is spliced in at.
+func findID(raw []byte, c *groupClass, id relation.TupleID) (p int, found bool) {
+	for p = c.ids; p < c.end; {
+		m, next := nextID(raw, p)
+		if m >= id {
+			return p, m == id
+		}
+		p = next
 	}
-	g.encBuf = encodeGroup(g.encBuf[:0], group)
-	return g.st.Put(g.keyBuf, g.encBuf)
+	return p, false
+}
+
+// spliceInsert appends to dst the record raw with id added to class k
+// (found) or with a new class for b inserted at index k. An absent
+// group is an empty raw with hdr 0.
+func spliceInsert(dst, raw []byte, cls []groupClass, hdr, k int, found bool, b string, id relation.TupleID) []byte {
+	if found {
+		c := &cls[k]
+		p, dup := findID(raw, c, id)
+		if dup {
+			return append(dst, raw...)
+		}
+		dst = append(dst, raw[:c.cnt]...)
+		dst = binary.AppendUvarint(dst, uint64(c.n+1))
+		dst = append(dst, raw[c.ids:p]...)
+		dst = binary.AppendUvarint(dst, uint64(id))
+		return append(dst, raw[p:]...)
+	}
+	at := len(raw)
+	if k < len(cls) {
+		at = cls[k].start
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(cls)+1))
+	dst = append(dst, raw[hdr:at]...)
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	dst = append(dst, b...)
+	dst = binary.AppendUvarint(dst, 1)
+	dst = binary.AppendUvarint(dst, uint64(id))
+	return append(dst, raw[at:]...)
+}
+
+// spliceDelete appends to dst the record raw with the id at offset p
+// removed from class k, dropping the class when it empties. The caller
+// deletes the record instead when its only class empties.
+func spliceDelete(dst, raw []byte, cls []groupClass, hdr, k, p int) []byte {
+	c := &cls[k]
+	if c.n == 1 {
+		dst = binary.AppendUvarint(dst, uint64(len(cls)-1))
+		dst = append(dst, raw[hdr:c.start]...)
+		return append(dst, raw[c.end:]...)
+	}
+	_, next := nextID(raw, p)
+	dst = append(dst, raw[:c.cnt]...)
+	dst = binary.AppendUvarint(dst, uint64(c.n-1))
+	dst = append(dst, raw[c.ids:p]...)
+	return append(dst, raw[next:]...)
 }
 
 // purgeRule deletes every record of the given tag (a retired rule).
@@ -266,21 +319,34 @@ func (inc *Incremental) StorageStats() map[string]storage.Stats {
 }
 
 // applyRuleStored is the stored-groups mirror of applyUnit's per-rule
-// body: the identical Fig. 4 case analysis, with the group record
-// loaded from and stored back to the group store.
+// body: the identical Fig. 4 case analysis, reading class sizes off the
+// scanned group record and splicing the update into its bytes.
 func (inc *Incremental) applyRuleStored(i int, u relation.Update, delta *cfd.Delta) error {
 	r := &inc.comp[i]
+	g := inc.gst
 	inc.keyBuf = u.Tuple.AppendKey(inc.keyBuf[:0], r.LHSCols)
 	bVal := u.Tuple.Values[r.RHSCol]
-	group, err := inc.gst.load(i, inc.keyBuf)
+	g.keyBuf = GroupKey(g.keyBuf[:0], g.tags[i], inc.keyBuf)
+	raw, ok, err := g.st.Get(g.keyBuf)
 	if err != nil {
 		return err
 	}
+	cls, hdr := g.classes[:0], 0 // an absent group scans as no classes
+	if ok {
+		if cls, hdr, err = scanGroup(cls, raw); err != nil {
+			return err
+		}
+	}
+	g.classes = cls
+	k, found := findClass(cls, raw, bVal)
+	distinct := len(cls)
 
 	switch u.Kind {
 	case relation.Insert:
-		classSize := len(group[bVal])
-		distinct := len(group)
+		classSize := 0
+		if found {
+			classSize = cls[k].n
+		}
 		// Fig. 4 incVIns case analysis.
 		switch {
 		case classSize > 0:
@@ -291,26 +357,23 @@ func (inc *Incremental) applyRuleStored(i int, u relation.Update, delta *cfd.Del
 			delta.Add(u.Tuple.ID, r.ID)
 		case distinct == 1:
 			delta.Add(u.Tuple.ID, r.ID)
-			for b := range group {
-				for id := range group[b] {
-					delta.Add(id, r.ID)
-				}
+			for p := cls[0].ids; p < cls[0].end; {
+				var id relation.TupleID
+				id, p = nextID(raw, p)
+				delta.Add(id, r.ID)
 			}
 		}
-		if group == nil {
-			group = make(map[string]map[relation.TupleID]struct{})
-		}
-		if group[bVal] == nil {
-			group[bVal] = make(map[relation.TupleID]struct{})
-		}
-		group[bVal][u.Tuple.ID] = struct{}{}
+		g.encBuf = spliceInsert(g.encBuf[:0], raw, cls, hdr, k, found, bVal, u.Tuple.ID)
 
 	case relation.Delete:
-		if group == nil || group[bVal] == nil {
+		var p int
+		if found {
+			p, found = findID(raw, &cls[k], u.Tuple.ID)
+		}
+		if !found {
 			return fmt.Errorf("centralized: tuple %d not indexed for rule %s", u.Tuple.ID, r.ID)
 		}
-		classSize := len(group[bVal])
-		distinct := len(group)
+		classSize := cls[k].n
 		// Fig. 4 incVDel case analysis.
 		switch {
 		case classSize > 1:
@@ -321,19 +384,17 @@ func (inc *Incremental) applyRuleStored(i int, u relation.Update, delta *cfd.Del
 			delta.Remove(u.Tuple.ID, r.ID)
 		case distinct-1 == 1:
 			delta.Remove(u.Tuple.ID, r.ID)
-			for b, cls := range group {
-				if b == bVal {
-					continue
-				}
-				for id := range cls {
-					delta.Remove(id, r.ID)
-				}
+			o := &cls[1-k]
+			for q := o.ids; q < o.end; {
+				var id relation.TupleID
+				id, q = nextID(raw, q)
+				delta.Remove(id, r.ID)
 			}
 		}
-		delete(group[bVal], u.Tuple.ID)
-		if len(group[bVal]) == 0 {
-			delete(group, bVal)
+		if classSize == 1 && distinct == 1 {
+			return g.st.Delete(g.keyBuf)
 		}
+		g.encBuf = spliceDelete(g.encBuf[:0], raw, cls, hdr, k, p)
 	}
-	return inc.gst.store(group)
+	return g.st.Put(g.keyBuf, g.encBuf)
 }

@@ -1,8 +1,10 @@
 package cfd
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/relation"
@@ -221,64 +223,72 @@ func (sp *storedPost) collect(idx RuleIdx) ([]relation.TupleID, error) {
 	return ids, nil
 }
 
-// flush folds every overlay entry into its bucket record.
+// flush folds every overlay entry into its bucket record. Each rule's
+// flips are visited in ascending id order — so buckets in ascending
+// order, and the store sees the same op sequence on every run — and
+// merged linearly into the bucket's sorted id list.
 func (sp *storedPost) flush() error {
 	for idx, ov := range sp.overlay {
 		if len(ov) == 0 {
 			continue
 		}
-		// Group the rule's flips by bucket.
-		byBucket := make(map[uint64][]relation.TupleID)
+		flips := sp.idsBuf[:0]
 		for id := range ov {
-			b := uint64(id) >> PostBucketShift
-			byBucket[b] = append(byBucket[b], id)
+			flips = append(flips, id)
 		}
-		for bucket, ids := range byBucket {
-			key := PostKey(sp.keyBuf[:0], RuleIdx(idx), bucket)
-			sp.keyBuf = key
-			raw, ok, err := sp.st.Get(key)
-			if err != nil {
-				return fmt.Errorf("cfd: posting flush rule %d bucket %d: %w", idx, bucket, err)
+		// uint64 order: ascending buckets, and within one bucket (all
+		// ids share a sign) the records' ascending TupleID order.
+		slices.SortFunc(flips, func(a, b relation.TupleID) int { return cmp.Compare(uint64(a), uint64(b)) })
+		sp.idsBuf = flips
+		for len(flips) > 0 {
+			bucket := uint64(flips[0]) >> PostBucketShift
+			n := 1
+			for n < len(flips) && uint64(flips[n])>>PostBucketShift == bucket {
+				n++
 			}
-			merged := make(map[relation.TupleID]struct{}, len(ids))
-			if ok {
-				for len(raw) > 0 {
-					u, w := binary.Uvarint(raw)
-					if w <= 0 {
-						return fmt.Errorf("cfd: posting flush rule %d bucket %d: bad id varint", idx, bucket)
-					}
-					raw = raw[w:]
-					merged[relation.TupleID(u)] = struct{}{}
-				}
-			}
-			for _, id := range ids {
-				if ov[id] {
-					merged[id] = struct{}{}
-				} else {
-					delete(merged, id)
-				}
-			}
-			if len(merged) == 0 {
-				if err := sp.st.Delete(key); err != nil {
-					return err
-				}
-				continue
-			}
-			out := sp.idsBuf[:0]
-			for id := range merged {
-				out = append(out, id)
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-			sp.idsBuf = out
-			sp.encBuf = sp.encBuf[:0]
-			for _, id := range out {
-				sp.encBuf = binary.AppendUvarint(sp.encBuf, uint64(id))
-			}
-			if err := sp.st.Put(key, sp.encBuf); err != nil {
+			if err := sp.flushBucket(RuleIdx(idx), bucket, ov, flips[:n]); err != nil {
 				return err
 			}
+			flips = flips[n:]
 		}
 		sp.overlay[idx] = nil
 	}
 	return nil
+}
+
+// flushBucket merges one bucket's sorted flips into its stored record,
+// deleting the record when no id survives.
+func (sp *storedPost) flushBucket(idx RuleIdx, bucket uint64, ov map[relation.TupleID]bool, flips []relation.TupleID) error {
+	key := PostKey(sp.keyBuf[:0], idx, bucket)
+	sp.keyBuf = key
+	raw, _, err := sp.st.Get(key)
+	if err != nil {
+		return fmt.Errorf("cfd: posting flush rule %d bucket %d: %w", idx, bucket, err)
+	}
+	out := sp.encBuf[:0]
+	for len(raw) > 0 || len(flips) > 0 {
+		if len(raw) > 0 {
+			u, w := binary.Uvarint(raw)
+			if w <= 0 {
+				return fmt.Errorf("cfd: posting flush rule %d bucket %d: bad id varint", idx, bucket)
+			}
+			if len(flips) == 0 || u < uint64(flips[0]) {
+				out = binary.AppendUvarint(out, u)
+				raw = raw[w:]
+				continue
+			}
+			if u == uint64(flips[0]) {
+				raw = raw[w:] // the flip below decides this id
+			}
+		}
+		if f := flips[0]; ov[f] {
+			out = binary.AppendUvarint(out, uint64(f))
+		}
+		flips = flips[1:]
+	}
+	sp.encBuf = out
+	if len(out) == 0 {
+		return sp.st.Delete(key)
+	}
+	return sp.st.Put(key, out)
 }

@@ -20,9 +20,8 @@ import (
 // V — the sweep asserts it before emitting the row, so the committed
 // baseline doubles as proof the eviction/fault machinery never loses or
 // invents a violation. Deterministic columns are state sizes (|D|, |V|,
-// marks, ∆V); cache counters and timings ride along informationally
-// (fault/eviction order depends on flush-time map iteration and is not
-// reproducible across runs).
+// marks, ∆V); cache counters and the disk and in-memory timings ride
+// along informationally.
 
 // StorageKnobs are Exp-storage's shape knobs. Zero values take
 // scale-proportional defaults. The paper-scale run is
@@ -30,8 +29,8 @@ import (
 // committed baseline uses the default scale to stay CI-sized.
 type StorageKnobs struct {
 	// Rows is the total ingested |D|; default 10 × Scale.Unit (the
-	// stored engine pays O(|group|) per update to re-encode touched
-	// group records, so the default stays CI-sized; scale up with
+	// stored engine copies each touched group record, O(|group|) bytes
+	// per update, so the default stays CI-sized; scale up with
 	// -storage.rows).
 	Rows int
 	// ChunkSize is rows per ingest batch (one measured row per chunk);
@@ -115,10 +114,13 @@ type StorageRun struct {
 	// DiskBytes exceeds the cache budget (the data did not fit).
 	DiskBytes     int64
 	ResidentBytes int64
-	// IngestSeconds and SweepSeconds are the stored engine's wall-clock
-	// (informational; the in-memory twin is not timed).
-	IngestSeconds float64
-	SweepSeconds  float64
+	// IngestSeconds and SweepSeconds are the stored engine's wall-clock;
+	// MemoryIngestSeconds and MemorySweepSeconds time the in-memory twin
+	// over the same batches (all informational).
+	IngestSeconds       float64
+	SweepSeconds        float64
+	MemoryIngestSeconds float64
+	MemorySweepSeconds  float64
 }
 
 // RunStorage executes the out-of-core sweep at the given scale: a
@@ -151,29 +153,33 @@ func RunStorage(sc Scale, k StorageKnobs) (*StorageRun, error) {
 	}
 	defer mem.Close()
 
-	step := func(phase string, seq int, updates relation.UpdateList) (time.Duration, error) {
+	// step applies one batch to both sessions and returns the stored and
+	// in-memory apply times.
+	step := func(phase string, seq int, updates relation.UpdateList) (disk, memory time.Duration, err error) {
 		start := time.Now()
 		sd, err := stored.ApplyBatch(context.Background(), updates)
 		if err != nil {
-			return 0, fmt.Errorf("storage: %s %d: stored apply: %w", phase, seq, err)
+			return 0, 0, fmt.Errorf("storage: %s %d: stored apply: %w", phase, seq, err)
 		}
-		elapsed := time.Since(start)
+		disk = time.Since(start)
+		start = time.Now()
 		md, err := mem.ApplyBatch(context.Background(), updates)
 		if err != nil {
-			return 0, fmt.Errorf("storage: %s %d: mem apply: %w", phase, seq, err)
+			return 0, 0, fmt.Errorf("storage: %s %d: mem apply: %w", phase, seq, err)
 		}
+		memory = time.Since(start)
 		if sd.Size() != md.Size() {
-			return 0, fmt.Errorf("storage: %s %d: ∆V size %d (disk) vs %d (mem)", phase, seq, sd.Size(), md.Size())
+			return 0, 0, fmt.Errorf("storage: %s %d: ∆V size %d (disk) vs %d (mem)", phase, seq, sd.Size(), md.Size())
 		}
 		if !stored.Violations().Equal(mem.Violations()) {
-			return 0, fmt.Errorf("storage: %s %d: disk V diverged from in-memory V", phase, seq)
+			return 0, 0, fmt.Errorf("storage: %s %d: disk V diverged from in-memory V", phase, seq)
 		}
 		v := stored.Violations()
 		run.Rows = append(run.Rows, StorageRow{
 			Phase: phase, Seq: seq, Rows: stored.Rows(),
 			DeltaMarks: sd.Size(), Violations: v.Len(), Marks: v.Marks(),
 		})
-		return elapsed, nil
+		return disk, memory, nil
 	}
 
 	// Phase 1: staged ingest, one measured row per chunk.
@@ -184,11 +190,12 @@ func RunStorage(sc Scale, k StorageKnobs) (*StorageRun, error) {
 			return nil
 		}
 		seq++
-		elapsed, err := step("ingest", seq, chunk)
+		disk, memory, err := step("ingest", seq, chunk)
 		if err != nil {
 			return err
 		}
-		run.IngestSeconds += elapsed.Seconds()
+		run.IngestSeconds += disk.Seconds()
+		run.MemoryIngestSeconds += memory.Seconds()
 		chunk = chunk[:0]
 		return nil
 	}
@@ -211,11 +218,12 @@ func RunStorage(sc Scale, k StorageKnobs) (*StorageRun, error) {
 	mirror := all.Clone()
 	for b := 1; b <= k.Batches; b++ {
 		updates := gen.Updates(mirror, k.BatchSize, k.InsFrac)
-		elapsed, err := step("batch", b, updates)
+		disk, memory, err := step("batch", b, updates)
 		if err != nil {
 			return nil, err
 		}
-		run.SweepSeconds += elapsed.Seconds()
+		run.SweepSeconds += disk.Seconds()
+		run.MemorySweepSeconds += memory.Seconds()
 		if err := updates.Normalize().Apply(mirror); err != nil {
 			return nil, err
 		}
@@ -275,7 +283,7 @@ func StorageResult(run *StorageRun) *Result {
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("V asserted bit-identical to the in-memory engine at every row; %d KiB resident vs %d KiB on disk",
 			run.ResidentBytes>>10, run.DiskBytes>>10),
-		fmt.Sprintf("stored engine wall-clock: ingest %.2fs, sweep %.2fs (informational)",
-			run.IngestSeconds, run.SweepSeconds))
+		fmt.Sprintf("wall-clock, disk vs memory: ingest %.2fs vs %.2fs, sweep %.2fs vs %.2fs (informational)",
+			run.IngestSeconds, run.MemoryIngestSeconds, run.SweepSeconds, run.MemorySweepSeconds))
 	return r
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cfd"
 	"repro/internal/relation"
+	"repro/internal/xerr"
 )
 
 // PredicateKind enumerates the selection predicate forms Fi supported for
@@ -147,9 +148,13 @@ func BySetHorizontal(attr string, valueSets [][]string) *HorizontalScheme {
 	return &HorizontalScheme{Preds: preds}
 }
 
-// SiteFor returns the fragment owning tuple t, or an error if the scheme
-// is not covering / not disjoint for t.
+// SiteFor returns the fragment owning tuple t, or an error if t does
+// not carry one value per attribute (an id-only delete has no values to
+// route by) or the scheme is not covering / not disjoint for t.
 func (hs *HorizontalScheme) SiteFor(s *relation.Schema, t relation.Tuple) (int, error) {
+	if len(t.Values) != s.Width() {
+		return 0, fmt.Errorf("partition: tuple %d has %d values, want %d: %w", t.ID, len(t.Values), s.Width(), xerr.ErrArityMismatch)
+	}
 	site := -1
 	for i, p := range hs.Preds {
 		if p.Match(s, t) {

@@ -254,3 +254,63 @@ func TestOptionValidation(t *testing.T) {
 		t.Fatalf("NoIndexes BatchDetect: %v", err)
 	}
 }
+
+// TestDeleteResolvesByID pins that a delete is resolved against the
+// maintained tuple, not the values the update carries: on every engine,
+// a delete whose values are stale (or absent) either fails the batch
+// or leaves V equal to a fresh detection — never a silent divergence.
+// D = {1:(a,x), 2:(a,x), 3:(a,y)} under A→B; deleting id 3 removes the
+// only conflict, so V must end empty.
+func TestDeleteResolvesByID(t *testing.T) {
+	schema := relation.MustSchema("R", "A", "B")
+	rules := []cfd.CFD{{ID: "phi", LHS: []string{"A"}, RHS: "B", LHSPattern: []string{"_"}, RHSPattern: "_"}}
+	engines := []struct {
+		name string
+		opts func(t *testing.T) []Option
+	}{
+		{"centralized", func(*testing.T) []Option { return nil }},
+		{"stored", func(t *testing.T) []Option { return []Option{WithStorageDir(t.TempDir())} }},
+		{"vertical", func(*testing.T) []Option {
+			return []Option{WithVertical(partition.RoundRobinVertical(schema, 2))}
+		}},
+		{"horizontal", func(*testing.T) []Option {
+			return []Option{WithHorizontal(partition.HashHorizontal("A", 2))}
+		}},
+	}
+	deletes := []struct {
+		name string
+		vals []string
+	}{
+		{"stale values", []string{"a", "x"}},
+		{"id only", nil},
+	}
+	for _, e := range engines {
+		for _, d := range deletes {
+			t.Run(e.name+"/"+d.name, func(t *testing.T) {
+				rel := relation.New(schema)
+				rel.MustInsert(relation.Tuple{ID: 1, Values: []string{"a", "x"}})
+				rel.MustInsert(relation.Tuple{ID: 2, Values: []string{"a", "x"}})
+				rel.MustInsert(relation.Tuple{ID: 3, Values: []string{"a", "y"}})
+				s, err := Open(rel, rules, e.opts(t)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if s.Violations().Len() != 3 {
+					t.Fatalf("|V| = %d before the delete, want 3", s.Violations().Len())
+				}
+				del := relation.UpdateList{{Kind: relation.Delete, Tuple: relation.Tuple{ID: 3, Values: d.vals}}}
+				if _, err := s.ApplyBatch(context.Background(), del); err != nil {
+					return // rejected outright: acceptable, nothing diverged silently
+				}
+				mirror := rel.Clone()
+				if _, err := mirror.Delete(3); err != nil {
+					t.Fatal(err)
+				}
+				if want := centralized.Detect(mirror, rules); !s.Violations().Equal(want) {
+					t.Fatalf("ApplyBatch succeeded but |V| = %d, fresh Detect gives %d", s.Violations().Len(), want.Len())
+				}
+			})
+		}
+	}
+}

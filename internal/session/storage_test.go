@@ -8,6 +8,7 @@ import (
 	"repro/internal/centralized"
 	"repro/internal/cfd"
 	"repro/internal/partition"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -208,5 +209,40 @@ func TestStoredSessionDirReuse(t *testing.T) {
 	}
 	if _, err := Open(rel, rules, WithStorageDir(dir)); err == nil {
 		t.Fatal("reopening a used storage dir did not fail")
+	}
+}
+
+// TestStoredStatsDeterministic pins that an out-of-core session's cache
+// counters are a pure function of its inputs: two identical runs — the
+// same relation, rules, budget and batches — report identical Stats for
+// all three stores. Every store op sequence, postings write-back
+// included, must therefore be independent of map iteration order.
+func TestStoredStatsDeterministic(t *testing.T) {
+	run := func() map[string]storage.Stats {
+		gen := workload.NewSized(workload.TPCH, 3, 12000)
+		rules := gen.Rules(6)
+		rel := gen.Relation(6000)
+		s, err := Open(rel, rules, WithStorageDir(t.TempDir()), WithPageCacheBudget(16<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		mirror := rel.Clone()
+		for b := 0; b < 4; b++ {
+			updates := gen.Updates(mirror, 400, 0.6)
+			if _, err := s.ApplyBatch(context.Background(), updates); err != nil {
+				t.Fatal(err)
+			}
+			if err := updates.Normalize().Apply(mirror); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.StorageStats()
+	}
+	first, second := run(), run()
+	for _, name := range []string{"tuples", "groups", "postings"} {
+		if first[name] != second[name] {
+			t.Errorf("%s stats differ between identical runs:\n %+v\n %+v", name, first[name], second[name])
+		}
 	}
 }

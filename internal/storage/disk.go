@@ -176,13 +176,16 @@ func (s *DiskStore) fault(no uint32, create bool) (*page, error) {
 }
 
 // evict drops clean pages from the LRU tail until the cache fits the
-// budget. Dirty pages are pinned; Flush unpins them. Caller holds s.mu.
+// budget. Dirty pages are pinned; Flush unpins them. Every clean page
+// the walk passes is evicted, so the walk ends once no clean page is
+// left (len(cache) == dirty) instead of crossing the pinned remainder
+// of the list. Caller holds s.mu.
 func (s *DiskStore) evict() {
 	if s.opt.CacheBudget <= 0 {
 		return
 	}
 	el := s.lru.Back()
-	for el != nil && s.resident > s.opt.CacheBudget {
+	for el != nil && s.resident > s.opt.CacheBudget && len(s.cache) > s.dirty {
 		prev := el.Prev()
 		pg := el.Value.(*page)
 		if !pg.dirty {
